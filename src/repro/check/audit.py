@@ -42,6 +42,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
 from ..errors import InvariantViolation, SimulationError
+from ..exec.point import TraceMemo
 from ..obs import RecordingProbe
 from ..transforms.pipeline import OptLevel
 from ..workloads.datasets import DatasetSize
@@ -128,21 +129,17 @@ def _diff_into(
 
 def _point_material(
     kernel: str,
-    config: SystemConfig,
     level: OptLevel,
     size: DatasetSize,
+    memo: TraceMemo,
 ):
     """The (program, encoded trace, warm regions) for one audit point.
 
-    Reuses the execution engine's per-process memos, so auditing a
-    kernel across six configurations builds and encodes its trace once.
+    Read from ``memo``, so auditing a kernel across six configurations
+    with one memo builds and encodes its trace once.
     """
-    from ..exec.point import RunPoint, _point_trace, build_point_program
-
-    point = RunPoint(kernel=kernel, config=config, level=level, size=size)
-    program = build_point_program(point)
-    trace = _point_trace(point)
-    return program, trace, warm_regions_of(program)
+    program = memo.program(kernel, size, level)
+    return program, memo.trace(kernel, size, level), warm_regions_of(program)
 
 
 def audit_point(
@@ -152,6 +149,8 @@ def audit_point(
     size: DatasetSize = DatasetSize.MINI,
     stride: int = DEFAULT_AUDIT_STRIDE,
     bisect: bool = True,
+    *,
+    memo: TraceMemo,
 ) -> AuditReport:
     """Differentially audit one (kernel, config, level) point.
 
@@ -170,6 +169,8 @@ def audit_point(
         stride: Sanitizer check stride for the generic legs.
         bisect: Run the prefix bisection on a generic-vs-encoded
             divergence (the expensive step; only triggered on failure).
+        memo: :class:`~repro.exec.point.TraceMemo` the program and trace
+            are read from; share one across the points of a grid.
 
     Returns:
         An :class:`AuditReport`; ``report.ok`` is the verdict.
@@ -183,7 +184,7 @@ def audit_point(
         name = config.frontend
         sys_config = config
     report = AuditReport(kernel=kernel, config=name, level=level.name)
-    program, trace, regions = _point_material(kernel, sys_config, level, size)
+    program, trace, regions = _point_material(kernel, level, size, memo)
     report.events = len(trace)
 
     # Leg A: generic object replay under the live sanitizer.
@@ -351,6 +352,7 @@ def audit_grid(
     from ..experiments.runner import CONFIGURATIONS
     from ..workloads import kernel_names
 
+    memo = TraceMemo()
     kernels = list(kernels) if kernels is not None else kernel_names()
     configs = list(configs) if configs is not None else list(CONFIGURATIONS)
     reports = []
@@ -365,6 +367,7 @@ def audit_grid(
                         size=size,
                         stride=stride,
                         bisect=bisect,
+                        memo=memo,
                     )
                 )
     return reports

@@ -5,8 +5,9 @@ is hundreds of independent ``(kernel, configuration, optimization
 level, seed)`` simulations.  ``repro.exec`` turns that from a serial
 loop into a scheduled batch:
 
-- :mod:`repro.exec.point` defines :class:`RunPoint` (one simulation)
-  and the pure worker function :func:`execute_point`;
+- :mod:`repro.exec.point` defines :class:`RunPoint` (one simulation),
+  the pure worker function :func:`execute_point` and the
+  :class:`TraceMemo` of programs and traces each executor owns;
 - :mod:`repro.exec.cache` keys every point by a SHA-256 over its kernel
   IR, full system configuration, technology parameters, optimization
   level, seed and the simulator's own code fingerprint, and stores
@@ -22,12 +23,13 @@ loop into a scheduled batch:
   checkpoint that makes ``SIGINT``/``SIGTERM`` resumable, and the
   :class:`FaultPlan` chaos injection the resilience tests drive.
 
-The engine plugs into
-:class:`~repro.experiments.runner.ExperimentRunner` (``engine=`` or the
-CLI's ``--jobs``/``--cache-dir``/``--no-cache`` flags); cached, parallel
-and inline executions of the same point are bit-identical.  See
-``docs/EXPERIMENTS_GUIDE.md`` for the cookbook, ``docs/ARCHITECTURE.md``
-§2.8 for the cache design and §2.12 for the failure model.
+Every :class:`~repro.experiments.runner.ExperimentRunner` executes
+through an engine — the caller's (``engine=`` or the CLI's
+``--jobs``/``--cache-dir``/``--no-cache`` flags) or a private serial
+one; cached, parallel and inline executions of the same point are
+bit-identical.  See ``docs/EXPERIMENTS_GUIDE.md`` for the cookbook,
+``docs/ARCHITECTURE.md`` §2.8 for the cache design and §2.12 for the
+failure model.
 """
 
 from .cache import (
@@ -42,7 +44,7 @@ from .cache import (
     key_material_of,
 )
 from .engine import BatchOutcome, ExecStats, ExecutionEngine, make_engine
-from .point import RunPoint, execute_point, execute_point_timed
+from .point import RunPoint, TraceMemo, execute_point
 from .resilience import (
     DEFAULT_JOURNAL_DIR,
     FaultPlan,
@@ -69,11 +71,11 @@ __all__ = [
     "RunPoint",
     "Supervisor",
     "SweepJournal",
+    "TraceMemo",
     "cache_key_of",
     "code_fingerprint",
     "estimate_point_cost",
     "execute_point",
-    "execute_point_timed",
     "ir_fingerprint",
     "key_material_of",
     "make_engine",

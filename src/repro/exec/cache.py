@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..cpu.model import RunResult
 from ..workloads.ir import Loop, Program, Statement
-from .point import RunPoint, build_point_program
+from .point import RunPoint, TraceMemo
 
 #: Version of the on-disk entry schema.  Bumped whenever the entry
 #: layout or the key material changes incompatibly; the version is part
@@ -101,22 +101,24 @@ def canonicalize(obj: Any) -> Any:
     Any
         A structure of dicts/lists/strings/numbers/None only.
     """
+    # Leaves first: they are most of the calls.  Enums before plain
+    # values, since str/int enums are instances of both.
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        # repr round-trips exactly and renders inf/nan portably.
+        return repr(obj) if obj != obj or obj in (float("inf"), float("-inf")) else obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out: Dict[str, Any] = {"__type__": type(obj).__name__}
         for f in dataclasses.fields(obj):
             out[f.name] = canonicalize(getattr(obj, f.name))
         return out
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): canonicalize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, float):
-        # repr round-trips exactly and renders inf/nan portably.
-        return repr(obj) if obj != obj or obj in (float("inf"), float("-inf")) else obj
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
     return repr(obj)
 
 
@@ -167,13 +169,15 @@ def ir_fingerprint(program: Program) -> List[Any]:
     return [program.name, arrays, [node(n) for n in program.body]]
 
 
-def key_material_of(point: RunPoint) -> Dict[str, Any]:
+def key_material_of(point: RunPoint, memo: TraceMemo) -> Dict[str, Any]:
     """The exact fields hashed into a point's cache key.
 
     Parameters
     ----------
     point : RunPoint
         The simulation point.
+    memo : TraceMemo
+        The executor's memo the point's IR fingerprint is read from.
 
     Returns
     -------
@@ -194,20 +198,22 @@ def key_material_of(point: RunPoint) -> Dict[str, Any]:
         "size": point.size.name,
         "level": point.level.name,
         "seed": config.reliability.seed if config.reliability is not None else None,
-        "ir": ir_fingerprint(build_point_program(point)),
+        "ir": memo.fingerprint(point.kernel, point.size, point.level),
         "config": canonicalize(config),
         "tech": canonicalize(config.resolved_technology()),
         "il1_tech": il1_tech,
     }
 
 
-def cache_key_of(point: RunPoint) -> str:
+def cache_key_of(point: RunPoint, memo: TraceMemo) -> str:
     """Content-addressed cache key of a point.
 
     Parameters
     ----------
     point : RunPoint
         The simulation point.
+    memo : TraceMemo
+        Forwarded to :func:`key_material_of`.
 
     Returns
     -------
@@ -215,7 +221,7 @@ def cache_key_of(point: RunPoint) -> str:
         SHA-256 hex digest of the sorted-JSON dump of
         :func:`key_material_of`.
     """
-    blob = json.dumps(key_material_of(point), sort_keys=True)
+    blob = json.dumps(key_material_of(point, memo), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

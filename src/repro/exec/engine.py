@@ -67,7 +67,7 @@ from ..obs.probe import NULL_PROBE, Probe
 from ..telemetry.events import NULL_TELEMETRY, Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from .cache import RunCache, cache_key_of, canonicalize, key_material_of
-from .point import RunPoint, execute_point, execute_point_batch
+from .point import RunPoint, TraceMemo, execute_point, execute_point_batch
 from .resilience import (
     DEFAULT_JOURNAL_DIR,
     FaultPlan,
@@ -207,6 +207,7 @@ class _EngineHooks(SupervisorHooks):
         batch_span: int,
     ) -> None:
         self.engine = engine
+        self.memo = engine.memo
         self.pending = pending
         self.results = results
         self.total = total
@@ -350,6 +351,13 @@ class ExecutionEngine:
         )
         self._cache_degraded = False
         self._corrupted_indices: set = set()
+        #: Programs and traces of the points this engine executes in
+        #: process (pool workers keep their own).
+        self.memo = TraceMemo()
+        #: Let a serial point's exception propagate as raised, with no
+        #: retry, failure record or log line — set by a runner's own
+        #: engine, so a plain run fails like a direct simulator call.
+        self.raise_errors = False
 
     # ------------------------------------------------------------------
     # Reporting
@@ -470,7 +478,7 @@ class ExecutionEngine:
         with batch:
             pending: Dict[str, _Pending] = {}
             for i, point in enumerate(points):
-                key = cache_key_of(point)
+                key = cache_key_of(point, self.memo)
                 self._maybe_corrupt_entry(i, key)
                 found = self.cache.lookup(key) if self.cache is not None else None
                 if found is not None and found.status in ("stale", "corrupt"):
@@ -577,7 +585,7 @@ class ExecutionEngine:
         if self.cache is None:
             return
         try:
-            self.cache.put(key, result, key_material_of(point))
+            self.cache.put(key, result, key_material_of(point, self.memo))
         except OSError as exc:
             from ..telemetry import log
 
@@ -716,7 +724,7 @@ class ExecutionEngine:
             for key, entry in pending.items()
         ]
         if self.policy.timeout is not None:
-            costs = [estimate_point_cost(task.point) for task in tasks]
+            costs = [estimate_point_cost(task.point, self.memo) for task in tasks]
             for task, budget in zip(tasks, scale_timeouts(costs, self.policy.timeout)):
                 task.timeout = budget
         if self.jobs == 1 or len(tasks) == 1:
@@ -774,8 +782,10 @@ class ExecutionEngine:
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.apply_inline(task.index, task.attempts)
-                    result = execute_point(entry.point)
+                    result = execute_point(entry.point, self.memo)
                 except Exception as exc:
+                    if self.raise_errors:
+                        raise
                     task.last_error = (
                         "error",
                         type(exc).__name__,
@@ -857,7 +867,7 @@ class ExecutionEngine:
                     )
             t0 = time.monotonic()
             try:
-                outs = execute_point_batch([pending[t.key].point for t in group])
+                outs = execute_point_batch([pending[t.key].point for t in group], self.memo)
             except Exception:
                 # Never terminal: the per-point loop recomputes each
                 # member from scratch under the full retry policy.
@@ -962,13 +972,14 @@ def make_engine(
     fail_fast: bool = False,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Optional[ExecutionEngine]:
-    """Build an engine from CLI-style options, or ``None`` for the
-    classic serial path.
+    """Build an engine from CLI-style options, or ``None`` when none apply.
 
-    The engine engages when parallelism, caching, telemetry or a
-    resilience bound was requested: plain ``repro fig1`` keeps the
-    historical in-process behaviour with no side effects on the
-    filesystem.
+    An engine is built when parallelism, caching, telemetry or a
+    resilience bound was requested.  For plain ``repro fig1`` this
+    returns ``None``: the :class:`~repro.experiments.runner.
+    ExperimentRunner` then executes through its own serial engine —
+    no cache, no journal, no progress stream, no ``exec:`` summary and
+    no files written.
 
     Parameters
     ----------

@@ -5,23 +5,22 @@ A :class:`RunPoint` is one fully-specified, independent simulation —
 with any fault-injection seed carried inside the configuration's
 :class:`~repro.reliability.faults.ReliabilityConfig`.  Points are plain
 frozen dataclasses so they pickle cheaply across worker-process
-boundaries, and :func:`execute_point` is a module-level function so the
-:mod:`concurrent.futures` machinery can address it by name.
+boundaries, and :func:`execute_point` is a module-level function so
+pool workers can call it by name.
 
-:func:`execute_point` reproduces *exactly* the recipe
-:meth:`repro.experiments.runner.ExperimentRunner.run` uses — build the
-kernel at the requested size, optimize, encode the trace, warm the
-L2 with the program's arrays, simulate — so a point executed in a worker
-process is bit-identical to the same point executed inline (pinned by
-``tests/test_exec.py``).
+Programs and encoded traces live in a :class:`TraceMemo` owned by
+whoever executes points: an
+:class:`~repro.exec.engine.ExecutionEngine` in process (which an
+:class:`~repro.experiments.runner.ExperimentRunner` reads for its
+``program``/``trace``), or the worker loop inside a pool worker.  There
+is no module-level memo, so programs and traces are freed with their
+owner.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
@@ -29,17 +28,6 @@ from ..transforms.pipeline import OptLevel, optimize
 from ..workloads import build_kernel
 from ..workloads.datasets import DatasetSize
 from ..workloads.encode import EncodedTrace, encode_trace
-
-#: Per-process memo of built programs and encoded traces, keyed by
-#: ``(kernel, size, level)``.  A worker that executes several points of
-#: the same kernel (one per configuration, the common batch shape)
-#: encodes the trace once; sharing is safe because ``System.run`` never
-#: mutates events and ``optimize`` clones before annotating — exactly
-#: the sharing ``ExperimentRunner`` does on the serial path.  The
-#: columnar form keeps the per-process footprint small under large
-#: ``--jobs`` fan-outs (every worker holds its own memo).
-_PROGRAMS: Dict[Tuple[str, DatasetSize, OptLevel], object] = {}
-_TRACES: Dict[Tuple[str, DatasetSize, OptLevel], EncodedTrace] = {}
 
 
 @dataclass(frozen=True)
@@ -82,64 +70,128 @@ class RunPoint:
         return f"{self.kernel}/{self.config.frontend}/{self.level.name}"
 
 
-def build_point_program(point: RunPoint):
-    """Build (and optimize) the IR program a point simulates.
+class TraceMemo:
+    """Programs, their IR fingerprints and encoded traces, built once per owner.
 
-    Parameters
-    ----------
-    point : RunPoint
-        The simulation point.
-
-    Returns
-    -------
-    repro.workloads.ir.Program
-        The kernel at ``point.size`` with ``point.level`` transforms
-        applied — the exact program :func:`execute_point` traces, and
-        the IR the cache key fingerprints.
+    Keyed by ``(kernel, size, level)``.  Sharing one program or trace
+    across points is safe because ``System.run`` never mutates events
+    and ``optimize`` clones before annotating.  A memo lives exactly as
+    long as its owner — the :class:`~repro.exec.engine.ExecutionEngine`
+    that executes in process, or one pool worker's loop — so a runner
+    dropped after its sweep frees its traces with it.
     """
-    key = (point.kernel, point.size, point.level)
-    if key not in _PROGRAMS:
-        program = build_kernel(point.kernel, point.size)
-        if point.level is not OptLevel.NONE:
-            program = optimize(program, point.level)
-        _PROGRAMS[key] = program
-    return _PROGRAMS[key]
+
+    def __init__(self) -> None:
+        self._programs: Dict[Tuple[str, DatasetSize, OptLevel], object] = {}
+        self._traces: Dict[Tuple[str, DatasetSize, OptLevel], EncodedTrace] = {}
+        self._fingerprints: Dict[Tuple[str, DatasetSize, OptLevel], List[Any]] = {}
+
+    def program(self, kernel: str, size: DatasetSize, level: OptLevel):
+        """The kernel at ``size`` with ``level`` transforms applied.
+
+        Parameters
+        ----------
+        kernel : str
+            Kernel name.
+        size : DatasetSize
+            Dataset size class.
+        level : OptLevel
+            Optimization level.
+
+        Returns
+        -------
+        repro.workloads.ir.Program
+            The program points of this identity simulate, and the IR
+            their cache key fingerprints.
+        """
+        key = (kernel, size, level)
+        program = self._programs.get(key)
+        if program is None:
+            program = build_kernel(kernel, size)
+            if level is not OptLevel.NONE:
+                program = optimize(program, level)
+            self._programs[key] = program
+        return program
+
+    def trace(self, kernel: str, size: DatasetSize, level: OptLevel) -> EncodedTrace:
+        """The encoded event trace of :meth:`program`.
+
+        Parameters
+        ----------
+        kernel : str
+            Kernel name.
+        size : DatasetSize
+            Dataset size class.
+        level : OptLevel
+            Optimization level.
+
+        Returns
+        -------
+        EncodedTrace
+            The columnar event stream ``System.run`` replays.
+        """
+        key = (kernel, size, level)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = encode_trace(self.program(kernel, size, level))
+        return trace
+
+    def fingerprint(self, kernel: str, size: DatasetSize, level: OptLevel) -> List[Any]:
+        """The :func:`~repro.exec.cache.ir_fingerprint` of :meth:`program`.
+
+        Computed once per identity: every configuration of a kernel
+        shares it, so keying a figure's points walks each IR once.
+
+        Parameters
+        ----------
+        kernel : str
+            Kernel name.
+        size : DatasetSize
+            Dataset size class.
+        level : OptLevel
+            Optimization level.
+
+        Returns
+        -------
+        list
+            The JSON-ready IR structure hashed into cache keys (shared;
+            treat as read-only).
+        """
+        key = (kernel, size, level)
+        found = self._fingerprints.get(key)
+        if found is None:
+            from .cache import ir_fingerprint  # cache.py imports this module
+
+            found = self._fingerprints[key] = ir_fingerprint(self.program(kernel, size, level))
+        return found
 
 
-def _point_trace(point: RunPoint) -> EncodedTrace:
-    """The encoded trace for a point, memoised per process."""
-    key = (point.kernel, point.size, point.level)
-    if key not in _TRACES:
-        _TRACES[key] = encode_trace(build_point_program(point))
-    return _TRACES[key]
+def execute_point(point: RunPoint, memo: TraceMemo) -> RunResult:
+    """Simulate one point: L2 pre-warmed, DL1 cold.
 
-
-def execute_point(point: RunPoint) -> RunResult:
-    """Simulate one point from scratch (worker-process entry point).
-
-    Mirrors ``ExperimentRunner.run`` step for step: the L2 is pre-warmed
-    with the program's arrays (PolyBench initialisation) and the DL1
-    starts cold.  The function rebuilds all state locally, so it is safe
-    to call concurrently from any number of processes.
+    The L2 is pre-warmed with the program's arrays (PolyBench
+    initialisation) before the trace replays.  All simulator state is
+    built locally, so any number of processes may call this at once.
 
     Parameters
     ----------
     point : RunPoint
         The simulation point.
+    memo : TraceMemo
+        The executor's memo of programs and traces.
 
     Returns
     -------
     RunResult
-        The timing result, bit-identical to an inline
-        ``ExperimentRunner.run`` of the same point.
+        The timing result.
     """
-    program = build_point_program(point)
-    trace = _point_trace(point)
+    identity = (point.kernel, point.size, point.level)
+    program = memo.program(*identity)
     system = System(point.config)
-    return system.run(trace, warm_regions=warm_regions_of(program))
+    return system.run(memo.trace(*identity), warm_regions=warm_regions_of(program))
 
 
-def execute_point_batch(points: Sequence[RunPoint]) -> List[RunResult]:
+def execute_point_batch(points: Sequence[RunPoint], memo: TraceMemo) -> List[RunResult]:
     """Simulate a group of same-trace points in one batched pass.
 
     All points must share ``(kernel, size, level)`` — they replay the
@@ -154,6 +206,8 @@ def execute_point_batch(points: Sequence[RunPoint]) -> List[RunResult]:
     ----------
     points : sequence of RunPoint
         The group, sharing one ``(kernel, size, level)``.
+    memo : TraceMemo
+        The executor's memo of programs and traces.
 
     Returns
     -------
@@ -168,39 +222,14 @@ def execute_point_batch(points: Sequence[RunPoint]) -> List[RunResult]:
     if not points:
         return []
     first = points[0]
-    group_key = (first.kernel, first.size, first.level)
+    identity = (first.kernel, first.size, first.level)
     for point in points:
-        if (point.kernel, point.size, point.level) != group_key:
+        if (point.kernel, point.size, point.level) != identity:
             raise ValueError(
                 f"batched group mixes traces: {point.display()} vs {first.display()}"
             )
     from ..cpu.batched import run_batch
 
-    program = build_point_program(first)
-    trace = _point_trace(first)
+    program = memo.program(*identity)
     systems = [System(point.config) for point in points]
-    return run_batch(trace, systems, warm_regions=warm_regions_of(program))
-
-
-def execute_point_timed(point: RunPoint) -> Tuple[RunResult, int, float]:
-    """Simulate one point, reporting the executing pid and wall time.
-
-    A thin telemetry wrapper around :func:`execute_point` — the result
-    passes through untouched, so timed execution stays bit-identical to
-    the plain path.  Module-level so :mod:`concurrent.futures` can
-    pickle it by name, like :func:`execute_point` itself.
-
-    Parameters
-    ----------
-    point : RunPoint
-        The simulation point.
-
-    Returns
-    -------
-    tuple of (RunResult, int, float)
-        The result, the pid of the process that executed it, and the
-        execution wall time in seconds (monotonic clock).
-    """
-    t0 = time.monotonic()
-    result = execute_point(point)
-    return result, os.getpid(), time.monotonic() - t0
+    return run_batch(memo.trace(*identity), systems, warm_regions=warm_regions_of(program))

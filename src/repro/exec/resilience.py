@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from ..cpu.model import RunResult
 from ..workloads.ir import Loop
 from .cache import decode_result, encode_result
-from .point import RunPoint, build_point_program, execute_point
+from .point import RunPoint, TraceMemo, execute_point
 
 #: File name of the completed-point checkpoint journal.
 JOURNAL_FILENAME = "journal.jsonl"
@@ -318,21 +318,23 @@ def _walk_cost(nodes: Any, multiplier: int, env: Dict[str, int]) -> int:
     return total
 
 
-def estimate_point_cost(point: RunPoint) -> int:
+def estimate_point_cost(point: RunPoint, memo: TraceMemo) -> int:
     """Static relative cost estimate of one simulation point.
 
     Walks the kernel's (optimized) IR counting memory references times
     estimated trip counts — triangular bounds are evaluated at the
     midpoint of their enclosing loops, so the estimate is exact for
     rectangular nests and a reasonable middle for skewed ones.  No
-    trace is generated: the program is already memoised in the
-    supervising process (the cache key fingerprints it), so the
-    estimate is effectively free.
+    trace is generated: the program is already in the engine's memo
+    (the cache key fingerprints it), so the estimate is effectively
+    free.
 
     Parameters
     ----------
     point : RunPoint
         The simulation point.
+    memo : TraceMemo
+        The executor's memo the program is read from.
 
     Returns
     -------
@@ -341,7 +343,7 @@ def estimate_point_cost(point: RunPoint) -> int:
         *ratios* between points are meaningful — the engine uses them
         to scale per-point timeouts.
     """
-    program = build_point_program(point)
+    program = memo.program(point.kernel, point.size, point.level)
     return max(1, _walk_cost(program.body, 1, {}))
 
 
@@ -566,7 +568,13 @@ class SupervisorHooks:
     The supervisor calls these as scheduling events happen, so the
     engine can feed progress lines, telemetry spans, metrics, the run
     cache and the journal without the supervisor knowing any of them.
+    Quarantined points execute in the supervising process against
+    :attr:`memo` — the engine's own, so they reuse its programs and
+    traces.
     """
+
+    def __init__(self) -> None:
+        self.memo = TraceMemo()
 
     def attempt_started(self, task: Task) -> None:
         """One attempt of ``task`` was dispatched to a worker."""
@@ -597,7 +605,9 @@ def _worker_main(conn: Any, fault_plan: Optional[FaultPlan]) -> None:
     drain-and-checkpoint shutdown under the supervisor's control.  Any
     exception is reported as a structured error message; the worker
     survives to take the next task.  A message that cannot be sent
-    (supervisor gone) ends the loop.
+    (supervisor gone) ends the loop.  The loop owns the worker's
+    :class:`~repro.exec.point.TraceMemo`, so points of the same kernel
+    build and encode its trace once per worker.
 
     Parameters
     ----------
@@ -607,6 +617,7 @@ def _worker_main(conn: Any, fault_plan: Optional[FaultPlan]) -> None:
         Chaos-injection plan consulted before each attempt.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    memo = TraceMemo()
     while True:
         try:
             message = conn.recv()
@@ -619,7 +630,7 @@ def _worker_main(conn: Any, fault_plan: Optional[FaultPlan]) -> None:
         try:
             if fault_plan is not None:
                 fault_plan.apply(index, attempt)
-            result = execute_point(point)
+            result = execute_point(point, memo)
             wall = time.monotonic() - started
             reply = ("ok", task_key, os.getpid(), wall, result)
         except Exception as exc:  # structured failure, worker survives
@@ -851,7 +862,7 @@ class Supervisor:
         try:
             if self.fault_plan is not None:
                 self.fault_plan.apply_inline(task.index, task.attempts)
-            result = execute_point(task.point)
+            result = execute_point(task.point, self.hooks.memo)
         except Exception as exc:
             task.last_error = (
                 "poison",

@@ -163,11 +163,12 @@ def run_dataset_sweep(
     Uses a kernel subset by default: the SMALL datasets multiply trip
     counts by up to 8x and this ablation exists to check the *trend*.
     """
+    runner = runner or ExperimentRunner()
     base_kernels = list(kernels) if kernels else ["gemm", "atax", "mvt", "2mm"]
     series = {}
     labels = base_kernels
     for size in sizes:
-        sized_runner = ExperimentRunner(size=size, kernels=base_kernels)
+        sized_runner = runner.scoped(base_kernels, size)
         series[size.name.lower()] = sized_runner.penalties("vwb", OptLevel.FULL)
     avgs = {k: sum(v) / len(v) for k, v in series.items()}
     return FigureResult(
@@ -302,7 +303,7 @@ def run_nvm_icache(
     from ..cpu.model import CPUConfig
 
     base_kernels = list(kernels) if kernels else ["gemm", "atax", "trmm"]
-    scoped = ExperimentRunner(size=(runner.size if runner else DatasetSize.MINI), kernels=base_kernels)
+    scoped = (runner or ExperimentRunner()).scoped(base_kernels)
     cpu = CPUConfig(model_ifetch=True)
     sram_il1 = replace(CONFIGURATIONS["sram"], cpu=cpu)
     nvm_il1 = replace(CONFIGURATIONS["sram"], cpu=cpu, il1_technology="stt-mram")
@@ -372,9 +373,7 @@ def run_interchange_study(
     from ..transforms.interchange import Interchange
 
     base_kernels = list(kernels) if kernels else ["gemm", "syrk", "syr2k"]
-    scoped = ExperimentRunner(
-        size=(runner.size if runner else DatasetSize.MINI), kernels=base_kernels
-    )
+    scoped = (runner or ExperimentRunner()).scoped(base_kernels)
     without = []
     with_ic = []
     for kernel in base_kernels:
@@ -411,9 +410,7 @@ def run_dram_model_study(
     from ..mem.hierarchy import HierarchyConfig
 
     base_kernels = list(kernels) if kernels else ["gemm", "atax", "2mm"]
-    scoped = ExperimentRunner(
-        size=(runner.size if runner else DatasetSize.MINI), kernels=base_kernels
-    )
+    scoped = (runner or ExperimentRunner()).scoped(base_kernels)
     banked = HierarchyConfig(memory_model="banked")
     banked_sram = replace(CONFIGURATIONS["sram"], hierarchy=banked)
 

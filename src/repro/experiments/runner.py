@@ -1,17 +1,19 @@
 """Shared machinery for running kernels across platform configurations.
 
 The paper's evaluation grid is (kernel) x (D-cache organisation) x
-(optimization level).  :class:`ExperimentRunner` materialises each
+(optimization level).  :class:`ExperimentRunner` turns each request
+into a :class:`~repro.exec.point.RunPoint` and hands it to an
+:class:`~repro.exec.engine.ExecutionEngine`, which encodes each
 kernel/level trace once, warms the L2 with the kernel's arrays (the
 paper's gem5 runs execute PolyBench's initialisation before the measured
-kernel), and caches results keyed by configuration so the figures share
-baseline runs.
+kernel) and simulates; the runner memoises results keyed by
+configuration so the figures share baseline runs.
 
-When constructed with an :class:`~repro.exec.engine.ExecutionEngine`,
-the runner fans independent points of a figure or sweep out across
-worker processes and replays unchanged points from the engine's
-content-addressed run cache; results are bit-identical to the serial
-path (see :mod:`repro.exec`).
+Without a caller's engine the runner builds a quiet serial one, whose
+failing point raises its own exception.  A caller's engine can fan independent
+points out across worker processes and replay unchanged points from its
+content-addressed run cache; results are bit-identical either way (see
+:mod:`repro.exec`).
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
 from ..errors import ConfigurationError
+from ..exec.engine import ExecutionEngine
+from ..exec.point import RunPoint
 from ..obs import ProfileResult, RecordingProbe
 from ..reliability.faults import ReliabilityConfig
-from ..transforms.pipeline import OptLevel, optimize
-from ..workloads import build_kernel, kernel_names
+from ..transforms.pipeline import OptLevel
+from ..workloads import kernel_names
 from ..workloads.datasets import DatasetSize
 from ..workloads.encode import EncodedTrace, encode_trace
 from ..workloads.interp import TraceConfig
@@ -129,7 +133,7 @@ def make_system(name_or_config: Union[str, SystemConfig]) -> System:
 
 
 class ExperimentRunner:
-    """Caches traces and run results across the experiment suite.
+    """Memoises run results across the experiment suite.
 
     Parameters
     ----------
@@ -140,17 +144,19 @@ class ExperimentRunner:
         Kernel subset to evaluate (default: the full 12-kernel
         registry, in figure order).
     engine : repro.exec.ExecutionEngine, optional
-        Parallel/cached execution engine.  ``None`` (the default) keeps
-        the classic in-process serial path; with an engine, whole-figure
-        batches run with up to ``engine.jobs``-way parallelism and
-        unchanged points replay from the engine's run cache.  Results
-        are bit-identical either way.
+        The engine every point executes through, and whose memo holds
+        the programs and traces.  ``None`` (the default) builds a serial
+        one with no cache, journal or progress output, whose failing
+        point raises its own exception (``raise_errors``).
+        A caller's engine can run whole-figure batches with up to
+        ``engine.jobs``-way parallelism and replay unchanged points from
+        its run cache.  Results are bit-identical either way.
     check : bool
         Run every point under the invariant sanitizer
-        (:class:`repro.check.Sanitizer`).  Forces the in-process serial
-        path — a sanitized run must observe the live structures, so the
+        (:class:`repro.check.Sanitizer`).  Sanitized points run in this
+        process — the checker must observe the live structures, so the
         engine's worker processes and run cache are bypassed — and
-        raises :class:`~repro.errors.InvariantViolation` at the first
+        raise :class:`~repro.errors.InvariantViolation` at the first
         corrupted event.  Results are bit-identical to unchecked runs.
     check_stride : int
         Invariant-check stride for sanitized runs (check after every
@@ -161,26 +167,57 @@ class ExperimentRunner:
         self,
         size: DatasetSize = DatasetSize.MINI,
         kernels: Optional[List[str]] = None,
-        engine: Optional["ExecutionEngine"] = None,
+        engine: Optional[ExecutionEngine] = None,
         check: bool = False,
         check_stride: int = 997,
     ) -> None:
         self.size = size
         self.kernels = list(kernels) if kernels is not None else kernel_names()
+        self._own_engine = engine is None
+        if engine is None:
+            engine = ExecutionEngine()
+            engine.raise_errors = True
         self.engine = engine
         self.check = bool(check)
         self.check_stride = check_stride
-        self._programs: Dict[Tuple[str, OptLevel], object] = {}
-        self._traces: Dict[Tuple[str, OptLevel], EncodedTrace] = {}
-        self._annotated_traces: Dict[Tuple[str, OptLevel], EncodedTrace] = {}
         self._results: Dict[Tuple, RunResult] = {}
+
+    def scoped(
+        self, kernels: Sequence[str], size: Optional[DatasetSize] = None
+    ) -> "ExperimentRunner":
+        """A runner over other kernels (and size) sharing this one's execution.
+
+        Keeps a caller's engine (so ``--jobs``, the run cache and
+        telemetry apply) and the ``check`` settings; the result memo
+        starts empty.  A runner's own engine is not shared, so the
+        derived runner's traces are freed with it.
+
+        Parameters
+        ----------
+        kernels : sequence of str
+            Kernel list of the new runner.
+        size : DatasetSize, optional
+            Dataset size of the new runner (default: this runner's).
+
+        Returns
+        -------
+        ExperimentRunner
+            The derived runner.
+        """
+        return ExperimentRunner(
+            size=self.size if size is None else size,
+            kernels=list(kernels),
+            engine=None if self._own_engine else self.engine,
+            check=self.check,
+            check_stride=self.check_stride,
+        )
 
     # ------------------------------------------------------------------
     # Workload material
     # ------------------------------------------------------------------
 
     def program(self, kernel: str, level: OptLevel = OptLevel.NONE):
-        """The (possibly transformed) program for a kernel, cached.
+        """The (possibly transformed) program for a kernel, from the engine's memo.
 
         Parameters
         ----------
@@ -194,14 +231,10 @@ class ExperimentRunner:
         repro.workloads.ir.Program
             The kernel IR after the level's transformation passes.
         """
-        key = (kernel, level)
-        if key not in self._programs:
-            base = build_kernel(kernel, self.size)
-            self._programs[key] = optimize(base, level) if level is not OptLevel.NONE else base
-        return self._programs[key]
+        return self.engine.memo.program(kernel, self.size, level)
 
     def trace(self, kernel: str, level: OptLevel = OptLevel.NONE) -> EncodedTrace:
-        """The encoded event trace for a kernel/level, cached.
+        """The encoded event trace for a kernel/level, from the engine's memo.
 
         Stored in the columnar :class:`~repro.workloads.encode.EncodedTrace`
         form, which ``System.run`` replays through the opcode fast path —
@@ -217,55 +250,14 @@ class ExperimentRunner:
         Returns
         -------
         EncodedTrace
-            The architectural event stream in columnar form.
+            The architectural event stream in columnar form — the same
+            object the engine replays for this kernel/level.
         """
-        key = (kernel, level)
-        if key not in self._traces:
-            self._traces[key] = encode_trace(self.program(kernel, level))
-        return self._traces[key]
-
-    def annotated_trace(self, kernel: str, level: OptLevel = OptLevel.NONE) -> EncodedTrace:
-        """Trace with zero-cost IR loop marks, for profiling runs.
-
-        Cached separately from :meth:`trace` so figure runs keep using
-        the mark-free traces.
-
-        Parameters
-        ----------
-        kernel : str
-            Kernel name.
-        level : OptLevel
-            Optimization level of the traced code.
-
-        Returns
-        -------
-        EncodedTrace
-            The event stream with ``IRMark`` region annotations.
-        """
-        key = (kernel, level)
-        if key not in self._annotated_traces:
-            self._annotated_traces[key] = encode_trace(
-                self.program(kernel, level), TraceConfig(annotate_ir=True)
-            )
-        return self._annotated_traces[key]
+        return self.engine.memo.trace(kernel, self.size, level)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def _memo_key(
-        self,
-        config: Union[str, SystemConfig],
-        kernel: str,
-        level: OptLevel,
-        cache_key: Optional[str],
-    ) -> Optional[Tuple]:
-        """In-memory result key for a run request (``None``: don't memoise)."""
-        if isinstance(config, str):
-            return (resolve_config_name(config), kernel, level, self.size)
-        if cache_key is not None:
-            return (cache_key, kernel, level, self.size)
-        return None
 
     def _point(
         self,
@@ -273,10 +265,8 @@ class ExperimentRunner:
         kernel: str,
         level: OptLevel,
         cache_key: Optional[str] = None,
-    ) -> "RunPoint":
+    ) -> RunPoint:
         """Build the :class:`~repro.exec.point.RunPoint` for a run request."""
-        from ..exec.point import RunPoint
-
         if isinstance(config, str):
             label = resolve_config_name(config)
         else:
@@ -288,6 +278,25 @@ class ExperimentRunner:
             size=self.size,
             label=f"{kernel}/{label}/{level.name}",
         )
+
+    def _memo_key(
+        self,
+        config: Union[str, SystemConfig],
+        kernel: str,
+        level: OptLevel,
+        cache_key: Optional[str] = None,
+    ) -> Tuple:
+        """Result-memo key of a run request.
+
+        Named configs are keyed by name and ad hoc ones by ``cache_key``;
+        an ad hoc config without one is keyed by its content (the
+        dataclass ``repr``, which spells out every field).
+        """
+        if isinstance(config, str):
+            return (resolve_config_name(config), kernel, level, self.size)
+        if cache_key is not None:
+            return (cache_key, kernel, level, self.size)
+        return ("config", repr(config), kernel, level, self.size)
 
     def run(
         self,
@@ -310,8 +319,7 @@ class ExperimentRunner:
         cache_key : str, optional
             Override for the result-memo key when passing ad hoc
             :class:`SystemConfig` objects (named configs memoise
-            automatically; unnamed ones by this key, by content when an
-            engine is attached, or not at all).
+            automatically; unnamed ones by this key, else by content).
 
         Returns
         -------
@@ -319,8 +327,9 @@ class ExperimentRunner:
             The timing result (shared across repeat requests).
         """
         key = self._memo_key(config, kernel, level, cache_key)
-        if key is not None and key in self._results:
+        if key in self._results:
             return self._results[key]
+        point = self._point(config, kernel, level, cache_key)
         if self.check:
             # Sanitized runs execute in-process: the checker hooks the
             # live CPU event loop, which worker processes and the run
@@ -328,45 +337,30 @@ class ExperimentRunner:
             # check package optional on the hot import path.
             from ..check.sanitizer import Sanitizer
 
-            system = make_system(config)
-            trace = self.trace(kernel, level)
-            regions = warm_regions_of(self.program(kernel, level))
-            sanitizer = Sanitizer(system, stride=self.check_stride)
-            result = sanitizer.run(trace, warm_regions=regions)
-        elif self.engine is not None:
-            from ..exec.cache import cache_key_of
-
-            point = self._point(config, kernel, level, cache_key)
-            if key is None:
-                key = ("exec", cache_key_of(point))
-                if key in self._results:
-                    return self._results[key]
-            result = self.engine.run_points([point])[0]
+            sanitizer = Sanitizer(System(point.config), stride=self.check_stride)
+            result = sanitizer.run(
+                self.trace(kernel, level),
+                warm_regions=warm_regions_of(self.program(kernel, level)),
+            )
         else:
-            system = make_system(config)
-            trace = self.trace(kernel, level)
-            regions = warm_regions_of(self.program(kernel, level))
-            result = system.run(trace, warm_regions=regions)
-        if key is not None:
-            self._results[key] = result
+            result = self.engine.run_points([point])[0]
+        self._results[key] = result
         return result
 
     def prefetch(
         self,
         specs: Sequence[Tuple],
     ) -> None:
-        """Batch-execute run requests (engine fan-out or serial lanes).
+        """Hand a batch of run requests to the engine at once.
 
-        With an engine attached the whole batch is handed over at once,
-        so independent points run with up to ``engine.jobs``-way
-        parallelism and cache hits replay immediately.  Without an
-        engine, requests sharing a trace (same kernel and level) run as
+        The engine runs same-trace requests (same kernel and level) as
         lanes of one batched multi-lane replay
-        (:func:`repro.cpu.batched.run_batch`) — one pass over the
-        opcode columns per kernel instead of one per configuration.
-        Either way results land in the runner's in-memory memo, making
+        (:func:`repro.cpu.batched.run_batch`) — one pass over the opcode
+        columns per kernel instead of one per configuration — or, with
+        ``jobs > 1``, fans the batch out over its workers; cache hits
+        replay immediately.  Results land in the runner's memo, making
         the subsequent :meth:`run` calls instant, and are bit-identical
-        to on-demand serial runs.
+        to on-demand runs.
 
         Parameters
         ----------
@@ -380,71 +374,19 @@ class ExperimentRunner:
             # a prefetch path compute unchecked results would defeat
             # --check.
             return
-        if self.engine is None:
-            self._prefetch_serial(specs)
-            return
-        from ..exec.cache import cache_key_of
-
         points, keys = [], []
         seen = set()
         for spec in specs:
-            config, kernel, level = spec[0], spec[1], spec[2]
-            cache_key = spec[3] if len(spec) > 3 else None
-            key = self._memo_key(config, kernel, level, cache_key)
-            if key is None:
-                point = self._point(config, kernel, level, cache_key)
-                key = ("exec", cache_key_of(point))
-            else:
-                point = None
+            key = self._memo_key(*spec)
             if key in self._results or key in seen:
                 continue
             seen.add(key)
-            if point is None:
-                point = self._point(config, kernel, level, cache_key)
-            points.append(point)
+            points.append(self._point(*spec))
             keys.append(key)
         if not points:
             return
         for key, result in zip(keys, self.engine.run_points(points)):
             self._results[key] = result
-
-    def _prefetch_serial(self, specs: Sequence[Tuple]) -> None:
-        """Serial prefetch: run same-trace requests as batched lanes.
-
-        Groups the not-yet-memoised requests by ``(kernel, level)`` and
-        replays each group's configurations as lanes of one
-        :func:`repro.cpu.batched.run_batch` pass.  Requests without a
-        memo key are skipped (their results could not be retained), as
-        are single-lane groups — :meth:`run` computes those on demand
-        at identical cost.
-
-        Parameters
-        ----------
-        specs : sequence of tuple
-            Run requests, as :meth:`prefetch` receives them.
-        """
-        from ..cpu.batched import run_batch
-
-        grouped: Dict[Tuple, List[Tuple]] = {}
-        seen = set()
-        for spec in specs:
-            config, kernel, level = spec[0], spec[1], spec[2]
-            cache_key = spec[3] if len(spec) > 3 else None
-            key = self._memo_key(config, kernel, level, cache_key)
-            if key is None or key in self._results or key in seen:
-                continue
-            seen.add(key)
-            grouped.setdefault((kernel, level), []).append((config, key))
-        for (kernel, level), lanes in grouped.items():
-            if len(lanes) < 2:
-                continue
-            trace = self.trace(kernel, level)
-            regions = warm_regions_of(self.program(kernel, level))
-            systems = [make_system(config) for config, _ in lanes]
-            for (_, key), result in zip(
-                lanes, run_batch(trace, systems, warm_regions=regions)
-            ):
-                self._results[key] = result
 
     def profile(
         self,
@@ -486,8 +428,9 @@ class ExperimentRunner:
         name = resolve_config_name(config)
         system = make_system(name)
         probe = RecordingProbe(record_events=record_events, max_events=max_events)
-        trace = self.annotated_trace(kernel, level)
-        regions = warm_regions_of(self.program(kernel, level))
+        program = self.program(kernel, level)
+        trace = encode_trace(program, TraceConfig(annotate_ir=True))
+        regions = warm_regions_of(program)
         if self.check:
             from ..check.sanitizer import Sanitizer
 
@@ -551,9 +494,9 @@ class ExperimentRunner:
     ) -> List[float]:
         """Per-kernel penalties over the runner's kernel list.
 
-        With an engine attached, every (kernel, config) point of the
-        figure — baselines included — is first fanned out as one batch
-        (see :meth:`prefetch`); the per-kernel ratios are then computed
+        Every (kernel, config) point of the figure — baselines included
+        — is first handed to the engine as one batch (see
+        :meth:`prefetch`); the per-kernel ratios are then computed
         from the memoised results in kernel order, so the output is
         independent of scheduling.
 
@@ -599,8 +542,8 @@ class ExperimentRunner:
         line retirement at their defaults) and reports the penalty
         against the fault-free SRAM baseline — the Figure 5 metric, with
         reliability overhead added on top of the technology penalty.
-        With an engine attached, all ``configs`` x ``rates`` points (and
-        the baseline) run as one parallel batch.
+        All ``configs`` x ``rates`` points (and the baseline) go to the
+        engine as one batch.
 
         Parameters
         ----------

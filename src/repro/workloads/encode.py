@@ -75,6 +75,7 @@ class EncodedTrace:
         "marks",
         "labels",
         "_analysis",
+        "__weakref__",
     )
 
     def __init__(

@@ -1,8 +1,14 @@
 """Ablation experiment functions, on fast kernel subsets."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.check.sanitizer import Sanitizer
+from repro.exec import ExecutionEngine
 from repro.experiments import ExperimentRunner, ablations
+from repro.workloads.datasets import DatasetSize
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +100,45 @@ class TestHWPrefetch:
         result = ablations.run_hw_prefetch_comparison(runner)
         avg = result.averages()
         assert avg["vwb_sw_prefetch"] < avg["dropin_hw_prefetch"]
+
+
+class TestScopedRunners:
+    """Ablations over their own kernel lists keep the caller's execution."""
+
+    def test_scoped_keeps_engine_and_check(self):
+        engine = ExecutionEngine()
+        base = ExperimentRunner(kernels=["gemm"], engine=engine, check=True, check_stride=101)
+        scoped = base.scoped(["atax", "mvt"], DatasetSize.SMALL)
+        assert scoped.engine is engine
+        assert (scoped.check, scoped.check_stride) == (True, 101)
+        assert (scoped.kernels, scoped.size) == (["atax", "mvt"], DatasetSize.SMALL)
+        assert base.scoped(["trmm"]).size is base.size
+
+    def test_own_engine_is_not_shared(self):
+        """A plain runner's scoped runners free their traces with them."""
+        base = ExperimentRunner(kernels=["gemm"])
+        scoped = base.scoped(["atax"], DatasetSize.SMALL)
+        assert scoped.engine is not base.engine
+        ref = weakref.ref(scoped.trace("atax"))
+        del scoped
+        gc.collect()
+        assert ref() is None
+
+    def test_icache_points_run_under_the_sanitizer(self, monkeypatch):
+        sanitized = []
+        real_run = Sanitizer.run
+
+        def counting_run(self, *args, **kwargs):
+            sanitized.append(1)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sanitizer, "run", counting_run)
+        runner = ExperimentRunner(kernels=["gemm"], check=True, check_stride=20_011)
+        ablations.run_nvm_icache(runner, kernels=["gemm"])
+        assert len(sanitized) == 2  # SRAM-IL1 baseline + NVM-IL1
+
+    def test_icache_points_land_in_the_callers_cache(self, tmp_path):
+        engine = ExecutionEngine(cache_dir=str(tmp_path / "c"))
+        ablations.run_nvm_icache(ExperimentRunner(kernels=["gemm"], engine=engine), kernels=["gemm"])
+        assert engine.stats.executed == 2
+        assert len(engine.cache.entries()) == 2

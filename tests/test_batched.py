@@ -15,7 +15,10 @@ instead of looping over ``System.run``:
 - the engine's serial path groups same-trace points through
   :func:`repro.exec.point.execute_point_batch` without changing a
   single result bit, and the sanitizer's audit drives the batched leg
-  to a clean verdict.
+  to a clean verdict;
+- a runner's prefetched figure still batches one lane per
+  configuration, and a lone ``runner.run`` still replays solo (where
+  hit-run elimination amortises).
 """
 
 from __future__ import annotations
@@ -24,16 +27,18 @@ from dataclasses import replace
 
 import pytest
 
+import repro.cpu.batched as batched_module
 from repro.check.audit import audit_point
 from repro.cpu.batched import batch_eligible, run_batch
 from repro.cpu.model import CPUConfig
 from repro.cpu.system import System, SystemConfig, warm_regions_of
-from repro.exec import ExecutionEngine, RunPoint, execute_point
+from repro.exec import ExecutionEngine, RunPoint, TraceMemo, execute_point
 from repro.exec.point import execute_point_batch
+from repro.experiments import ExperimentRunner, ablations, penalties
 from repro.obs import RecordingProbe
 from repro.reliability.faults import ReliabilityConfig
 from repro.transforms.pipeline import OptLevel, optimize
-from repro.workloads import build_kernel, kernel_names
+from repro.workloads import build_kernel, elim, kernel_names
 from repro.workloads.encode import encode_trace
 
 CONFIG_NAMES = ("sram", "dropin", "vwb", "l0", "emshr", "hybrid")
@@ -155,22 +160,23 @@ class TestExecutePointBatch:
 
     def test_group_matches_execute_point(self):
         points = self._points()
-        batched = execute_point_batch(points)
-        assert batched == [execute_point(p) for p in points]
+        memo = TraceMemo()
+        batched = execute_point_batch(points, memo)
+        assert batched == [execute_point(p, TraceMemo()) for p in points]
 
     def test_mixed_traces_rejected(self):
         points = self._points("atax") + self._points("bicg")
         with pytest.raises(ValueError, match="mixes traces"):
-            execute_point_batch(points)
+            execute_point_batch(points, TraceMemo())
 
     def test_empty_group(self):
-        assert execute_point_batch([]) == []
+        assert execute_point_batch([], TraceMemo()) == []
 
     def test_engine_serial_path_batches_groups(self, tmp_path):
         points = self._points("mvt")
         engine = ExecutionEngine(jobs=1, cache_dir=str(tmp_path / "c"), progress=None)
         results = engine.run_points(points)
-        assert results == [execute_point(p) for p in points]
+        assert results == [execute_point(p, engine.memo) for p in points]
         assert engine.stats.executed == len(points)
         assert engine.metrics.counters.get("exec.batched_groups", 0) >= 1
 
@@ -179,6 +185,42 @@ class TestAuditLeg:
     """The sanitizer's differential audit covers the batched path."""
 
     def test_audit_batched_leg_clean(self):
-        report = audit_point("atax", "vwb")
+        report = audit_point("atax", "vwb", memo=TraceMemo())
         assert report.ok, report.summary() if hasattr(report, "summary") else report
         assert not any(leg.startswith("batched") for leg, *_ in report.divergences)
+
+
+class TestExecutionShapes:
+    """The runner hands points to the engine without changing how they replay."""
+
+    @pytest.fixture
+    def batch_lanes(self, monkeypatch):
+        lanes = []
+        real_run_batch = batched_module.run_batch
+
+        def counting_run_batch(trace, systems, *args, **kwargs):
+            lanes.append(len(systems))
+            return real_run_batch(trace, systems, *args, **kwargs)
+
+        monkeypatch.setattr(batched_module, "run_batch", counting_run_batch)
+        return lanes
+
+    def test_serial_penalties_batch_six_lanes_per_kernel(self, batch_lanes):
+        penalties.run(ExperimentRunner(kernels=["gemm", "atax"]))
+        assert batch_lanes == [6, 6]
+
+    def test_latency_ablation_replays_solo_and_eliminates(self, batch_lanes, monkeypatch):
+        monkeypatch.delenv("REPRO_ELIM", raising=False)
+        solo = []
+        real_run = System.run
+
+        def counting_run(self, *args, **kwargs):
+            solo.append(1)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "run", counting_run)
+        before = elim.counters()["events_eliminated"]
+        ablations.run_latency_sensitivity(ExperimentRunner(kernels=["gemm", "atax"]))
+        assert batch_lanes == []
+        assert len(solo) == 2 * 7  # per kernel: SRAM baseline + 3 write + 3 read variants
+        assert elim.counters()["events_eliminated"] > before

@@ -19,6 +19,7 @@ from repro.check import (
 )
 from repro.core.vwb import VeryWideBuffer, VWBConfig
 from repro.errors import ConfigurationError, InvariantViolation
+from repro.exec import ExecutionEngine, TraceMemo
 from repro.experiments.runner import CONFIGURATIONS, ExperimentRunner, make_system
 from repro.transforms.pipeline import OptLevel
 from repro.workloads.encode import encode_events
@@ -256,7 +257,7 @@ class TestAudit:
     @pytest.mark.parametrize("config", ["sram", "nvm-vwb", "nvm-l0"])
     @pytest.mark.parametrize("kernel", ["gemm", "3mm", "mvt"])
     def test_audit_passes(self, kernel, config):
-        report = audit_point(kernel, config, stride=20_011)
+        report = audit_point(kernel, config, stride=20_011, memo=TraceMemo())
         assert report.ok, report.summary()
         assert report.events > 0
         assert "PASS" in report.summary()
@@ -277,7 +278,7 @@ class TestAudit:
             return bad_read, fast_write
 
         monkeypatch.setattr(cpu_model, "make_fast_ops", poisoned)
-        report = audit_point("gemm", "sram", bisect=False)
+        report = audit_point("gemm", "sram", bisect=False, memo=TraceMemo())
         assert not report.ok
         legs = {leg for leg, _, _, _ in report.divergences}
         assert any(leg.startswith("encoded") for leg in legs)
@@ -339,13 +340,11 @@ class TestCheckWiring:
         assert a.counts == b.counts
 
     def test_runner_check_skips_engine_prefetch(self):
-        class ExplodingEngine:
-            jobs = 4
-
+        class ExplodingEngine(ExecutionEngine):
             def run_points(self, points):  # pragma: no cover - must not run
                 raise AssertionError("sanitized runs must stay in-process")
 
-        runner = ExperimentRunner(check=True, check_stride=20_011, engine=ExplodingEngine())
+        runner = ExperimentRunner(check=True, check_stride=20_011, engine=ExplodingEngine(jobs=4))
         runner.prefetch([("vwb", "gemm", OptLevel.NONE)])
         result = runner.run("vwb", "gemm")
         assert result.cycles > 0

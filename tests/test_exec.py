@@ -7,7 +7,9 @@ dataclass ``==`` compares every field, histogram included).
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.exec import (
     ExecutionEngine,
     RunCache,
     RunPoint,
+    TraceMemo,
     cache_key_of,
     code_fingerprint,
     key_material_of,
@@ -32,6 +35,10 @@ from repro.reliability.faults import ReliabilityConfig
 from repro.transforms.pipeline import OptLevel
 
 
+#: One memo for every program/trace/key these tests build.
+MEMO = TraceMemo()
+
+
 def point(kernel="gemm", config="vwb", level=OptLevel.NONE, **replacements):
     cfg = CONFIGURATIONS[config]
     if replacements:
@@ -41,14 +48,14 @@ def point(kernel="gemm", config="vwb", level=OptLevel.NONE, **replacements):
 
 class TestCacheKey:
     def test_key_is_deterministic(self):
-        assert cache_key_of(point()) == cache_key_of(point())
+        assert cache_key_of(point(), MEMO) == cache_key_of(point(), MEMO)
 
     def test_key_differs_across_kernels_levels_configs(self):
         keys = {
-            cache_key_of(point()),
-            cache_key_of(point(kernel="atax")),
-            cache_key_of(point(level=OptLevel.FULL)),
-            cache_key_of(point(config="sram")),
+            cache_key_of(point(), MEMO),
+            cache_key_of(point(kernel="atax"), MEMO),
+            cache_key_of(point(level=OptLevel.FULL), MEMO),
+            cache_key_of(point(config="sram"), MEMO),
         }
         assert len(keys) == 4
 
@@ -57,15 +64,15 @@ class TestCacheKey:
         base = point()
         tech = base.config.resolved_technology()
         slower = dataclasses.replace(tech, write_latency_ns=tech.write_latency_ns + 0.1)
-        assert cache_key_of(point(technology=slower)) != cache_key_of(base)
+        assert cache_key_of(point(technology=slower), MEMO) != cache_key_of(base, MEMO)
 
     def test_changed_seed_changes_key(self):
         a = point(reliability=ReliabilityConfig(seed=0, write_error_rate=1e-4))
         b = point(reliability=ReliabilityConfig(seed=1, write_error_rate=1e-4))
-        assert cache_key_of(a) != cache_key_of(b)
+        assert cache_key_of(a, MEMO) != cache_key_of(b, MEMO)
 
     def test_material_lists_documented_fields(self):
-        material = key_material_of(point())
+        material = key_material_of(point(), MEMO)
         assert set(material) == {
             "format", "code", "kernel", "size", "level",
             "seed", "ir", "config", "tech", "il1_tech",
@@ -74,16 +81,23 @@ class TestCacheKey:
         # The material must be JSON-serialisable (it is what gets hashed).
         json.dumps(material, sort_keys=True)
 
+    def test_shared_memo_does_not_change_key(self):
+        memo = TraceMemo()
+        points = [point(), point(config="sram"), point(level=OptLevel.FULL)]
+        assert [cache_key_of(p, memo) for p in points] == [
+            cache_key_of(p, TraceMemo()) for p in points
+        ]
+
     def test_label_does_not_affect_key(self):
         a = RunPoint(kernel="gemm", config=CONFIGURATIONS["vwb"], label="x")
         b = RunPoint(kernel="gemm", config=CONFIGURATIONS["vwb"], label="y")
-        assert cache_key_of(a) == cache_key_of(b)
+        assert cache_key_of(a, MEMO) == cache_key_of(b, MEMO)
 
 
 class TestRunCache:
     @pytest.fixture(scope="class")
     def result(self):
-        return execute_point(point(kernel="atax"))
+        return execute_point(point(kernel="atax"), MEMO)
 
     def test_round_trip_is_bit_identical(self, result):
         assert decode_result(encode_result(result)) == result
@@ -127,7 +141,7 @@ class TestEngine:
 
     @pytest.fixture(scope="class")
     def serial(self):
-        return [execute_point(p) for p in self.POINTS]
+        return [execute_point(p, MEMO) for p in self.POINTS]
 
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path, serial):
         engine = ExecutionEngine(jobs=2, cache_dir=str(tmp_path / "c"))
@@ -253,8 +267,11 @@ class TestRunnerIntegration:
         cfg = dataclasses.replace(CONFIGURATIONS["vwb"], dl1_banks=2)
         first = runner.run(cfg, "gemm")
         second = runner.run(cfg, "gemm")
-        assert first == second
-        assert engine.stats.points == 1  # second call hit the in-memory memo
+        equal = runner.run(dataclasses.replace(CONFIGURATIONS["vwb"], dl1_banks=2), "gemm")
+        assert first == second and equal is first
+        assert engine.stats.points == 1  # later calls hit the in-memory memo
+        runner.run(dataclasses.replace(cfg, dl1_banks=1), "gemm")
+        assert engine.stats.points == 2  # a different config is a different key
 
 
 class TestCLI:
@@ -288,3 +305,53 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "unknown configuration" in err
         assert "nvm-vwb" in err
+
+
+class TestOneExecutionPath:
+    """Every runner executes through an engine, which owns the trace memo."""
+
+    def test_plain_runner_builds_a_quiet_serial_engine(self):
+        runner = ExperimentRunner(kernels=["gemm"])
+        engine = runner.engine
+        assert isinstance(engine, ExecutionEngine)
+        assert engine.jobs == 1
+        assert engine.cache is None and engine.journal is None and engine.progress is None
+        assert engine.raise_errors
+        runner.run("vwb", "gemm")
+        assert engine.stats.executed == 1
+
+    def test_plain_runner_raises_a_points_own_error(self, capsys):
+        runner = ExperimentRunner(kernels=["gemm"])
+        bad = dataclasses.replace(CONFIGURATIONS["vwb"], dl1_banks=3)
+        with pytest.raises(ConfigurationError, match="power of two"):
+            runner.run(bad, "gemm")
+        with pytest.raises(ConfigurationError, match="power of two"):
+            runner.prefetch([(bad, "gemm", OptLevel.NONE), ("sram", "gemm", OptLevel.NONE)])
+        assert runner.engine.stats.retries == 0 and runner.engine.failures == []
+        assert capsys.readouterr().err == ""
+
+    def test_runner_reads_the_engines_memo(self):
+        runner = ExperimentRunner(kernels=["gemm"])
+        memo = runner.engine.memo
+        assert runner.trace("gemm") is memo.trace("gemm", runner.size, OptLevel.NONE)
+        assert runner.program("gemm", OptLevel.FULL) is memo.program(
+            "gemm", runner.size, OptLevel.FULL
+        )
+
+    def test_trace_memo_dies_with_its_runner(self):
+        runner = ExperimentRunner(kernels=["gemm"])
+        runner.penalties("vwb")
+        ref = weakref.ref(runner.trace("gemm"))
+        del runner
+        gc.collect()
+        assert ref() is None
+
+    def test_point_module_keeps_no_memo(self):
+        import repro.exec.point as point_module
+
+        dicts = [
+            name
+            for name, value in vars(point_module).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        ]
+        assert dicts == []

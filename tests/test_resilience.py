@@ -31,6 +31,7 @@ from repro.exec import (
     RunCache,
     RunPoint,
     SweepJournal,
+    TraceMemo,
     cache_key_of,
     estimate_point_cost,
 )
@@ -54,7 +55,8 @@ def _points():
 @pytest.fixture(scope="module")
 def reference():
     """Clean serial results every chaos run must reproduce exactly."""
-    return [execute_point(p) for p in _points()]
+    memo = TraceMemo()
+    return [execute_point(p, memo) for p in _points()]
 
 
 def _chaos_engine(tmp_path, plan, policy=None, jobs=3, cache=True):
@@ -78,11 +80,11 @@ class TestPolicyAndEstimates:
 
     def test_cost_estimate_is_deterministic_and_kernel_specific(self):
         """The static estimate reflects the kernel, not a shared constant."""
-        gemm = estimate_point_cost(RunPoint("gemm", CONFIGURATIONS["vwb"]))
-        atax = estimate_point_cost(RunPoint("atax", CONFIGURATIONS["vwb"]))
+        gemm = estimate_point_cost(RunPoint("gemm", CONFIGURATIONS["vwb"]), TraceMemo())
+        atax = estimate_point_cost(RunPoint("atax", CONFIGURATIONS["vwb"]), TraceMemo())
         assert gemm > 0 and atax > 0
         assert gemm != atax
-        assert gemm == estimate_point_cost(RunPoint("gemm", CONFIGURATIONS["vwb"]))
+        assert gemm == estimate_point_cost(RunPoint("gemm", CONFIGURATIONS["vwb"]), TraceMemo())
 
     def test_timeout_scaling_extends_never_shrinks(self):
         budgets = scale_timeouts([100, 400, 1000], 10.0)
@@ -152,7 +154,7 @@ class TestCacheHardening:
 
     def test_quarantine_moves_entry_with_reason(self, tmp_path, reference):
         cache = RunCache(tmp_path / "cache")
-        key = cache_key_of(_points()[0])
+        key = cache_key_of(_points()[0], TraceMemo())
         cache.put(key, reference[0])
         cache.path_for(key).write_text("not json at all")
         assert cache.lookup(key).status == "corrupt"

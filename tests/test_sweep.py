@@ -85,3 +85,12 @@ class TestSweepCLI:
 
         # Unknown sweep parameter -> ConfigurationError -> usage exit code.
         assert main(["sweep", "--param", "bogus", "--values", "1", "--kernels", "gemm"]) == 2
+
+    def test_cli_sweep_invalid_point_fails_once_with_its_own_error(self, capsys):
+        from repro.cli import main
+
+        # The bank count is rejected when the System is built: a plain run
+        # reports that ConfigurationError once, with no retries.
+        assert main(["sweep", "--param", "dl1_banks", "--values", "3", "--kernels", "gemm"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: dl1: bank count must be a power of two\n"

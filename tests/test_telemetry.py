@@ -23,7 +23,14 @@ import json
 import pytest
 
 from repro.cli import EXIT_OK, EXIT_RUNTIME, main
-from repro.exec import CACHE_FORMAT_VERSION, ExecutionEngine, RunPoint, cache_key_of, execute_point
+from repro.exec import (
+    CACHE_FORMAT_VERSION,
+    ExecutionEngine,
+    RunPoint,
+    TraceMemo,
+    cache_key_of,
+    execute_point,
+)
 from repro.experiments.runner import CONFIGURATIONS
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -68,7 +75,8 @@ def recorder(tmp_path):
 class TestBitIdentity:
     def test_telemetry_on_off_and_bypass_are_equal(self, tmp_path):
         points = _grid_points()
-        bare = [execute_point(p) for p in points]
+        memo = TraceMemo()
+        bare = [execute_point(p, memo) for p in points]
 
         engine_off = ExecutionEngine(jobs=1, telemetry=NULL_TELEMETRY)
         off = engine_off.run_points(points)
@@ -196,7 +204,7 @@ class TestCacheAnomalies:
         engine = self._cached_engine(tmp_path)
         [first] = engine.run_points([point])
 
-        key = cache_key_of(point)
+        key = cache_key_of(point, engine.memo)
         engine.cache.path_for(key).write_text("{not json")
 
         rec = TelemetryRecorder(tmp_path / "tele")
@@ -219,7 +227,7 @@ class TestCacheAnomalies:
         engine = self._cached_engine(tmp_path)
         engine.run_points([point])
 
-        key = cache_key_of(point)
+        key = cache_key_of(point, engine.memo)
         path = engine.cache.path_for(key)
         entry = json.loads(path.read_text())
         entry["format"] = CACHE_FORMAT_VERSION + 1
