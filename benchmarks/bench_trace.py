@@ -1,11 +1,13 @@
-"""Bench: columnar traces — encode cost, replay throughput, e2e speedup.
+"""Bench: columnar traces — lowering speed, replay throughput, e2e speedup.
 
-Three guards around :mod:`repro.workloads.encode` and the opcode-dispatch
+Guards around :mod:`repro.workloads.encode` and the opcode-dispatch
 replay loop in :meth:`repro.cpu.model.InOrderCPU.run_encoded`:
 
-- building an :class:`~repro.workloads.encode.EncodedTrace` straight from
-  the generator must not cost meaningfully more than materialising the
-  event-object list it replaces;
+- lowering a program straight to an
+  :class:`~repro.workloads.encode.EncodedTrace` must be at least
+  :data:`MIN_LOWERING_SPEEDUP` times faster than the event-at-a-time
+  tree walk it replaced plus :func:`~repro.workloads.encode.encode_events`,
+  recorded as ``lowering_speedup``;
 - replaying the encoded form through every named configuration must be
   at least :data:`MIN_REPLAY_SPEEDUP` times faster than object replay
   (the margin the ``trace-fastpath`` CI job enforces — locally the
@@ -39,6 +41,8 @@ Timings are best-of-N wall clock after a warm-up pass, matching
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 from repro.cpu.batched import run_batch
@@ -47,7 +51,11 @@ from repro.experiments.penalties import NVM_CONFIGS
 from repro.experiments.runner import make_system
 from repro.telemetry import metric
 from repro.workloads import build_kernel, kernel_names, materialize_trace
-from repro.workloads.encode import encode_trace
+from repro.workloads.encode import encode_events, encode_trace
+
+# The reference tree walk lives with the tests, under the repository root.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.trace_oracle import oracle_trace  # noqa: E402
 
 #: Every system of the penalties grid: the SRAM baseline plus the NVM organisations.
 ALL_CONFIGS = ("sram",) + NVM_CONFIGS
@@ -59,7 +67,9 @@ E2E_REPEATS = 2
 MIN_REPLAY_SPEEDUP = 2.0
 #: Headline end-to-end goal of the columnar-trace work (reported, not asserted).
 E2E_TARGET = 3.0
-MAX_ENCODE_OVERHEAD = 1.5
+#: Floor for the IR lowering (:func:`encode_trace`) against the reference
+#: tree walk it replaced, re-encoded (``tests/trace_oracle.py``).
+MIN_LOWERING_SPEEDUP = 2.5
 #: Floor for batched vs serial-encoded throughput on the full grid.
 #: Set below the measured ~1.1-1.3x so noisy CI boxes never flake; it
 #: exists to catch the batched path regressing into a pessimization.
@@ -85,34 +95,32 @@ def _programs(kernels):
     return {name: build_kernel(name) for name in kernels}
 
 
-def test_encode_cost_within_budget(bench_metrics):
+def test_lowering_speedup(bench_metrics):
     programs = _programs(THROUGHPUT_KERNELS)
-    for program in programs.values():  # warm generators/imports
-        materialize_trace(program)
+    for program in programs.values():  # warm imports and layouts
+        encode_events(oracle_trace(program))
         encode_trace(program)
 
-    obj_times, enc_times = [], []
+    walk_times, lower_times = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for program in programs.values():
-            materialize_trace(program)
-        obj_times.append(time.perf_counter() - start)
+            encode_events(oracle_trace(program))
+        walk_times.append(time.perf_counter() - start)
         start = time.perf_counter()
         for program in programs.values():
             encode_trace(program)
-        enc_times.append(time.perf_counter() - start)
+        lower_times.append(time.perf_counter() - start)
 
-    ratio = min(enc_times) / min(obj_times)
-    bench_metrics.setdefault("trace", {})["encode_cost_ratio"] = metric(
-        ratio, unit="x", higher_is_better=False
-    )
+    ratio = min(walk_times) / min(lower_times)
+    bench_metrics.setdefault("trace", {})["lowering_speedup"] = metric(ratio, unit="x")
     print(
-        f"\nencode cost: best materialize {min(obj_times):.3f}s, "
-        f"best encode {min(enc_times):.3f}s, ratio {ratio:.3f}"
+        f"\ntrace build: best tree walk + encode_events {min(walk_times):.3f}s, "
+        f"best encode_trace {min(lower_times):.3f}s, speedup x{ratio:.2f}"
     )
-    assert ratio <= MAX_ENCODE_OVERHEAD, (
-        f"encode_trace is {ratio:.3f}x materialize_trace "
-        f"(budget {MAX_ENCODE_OVERHEAD}x)"
+    assert ratio >= MIN_LOWERING_SPEEDUP, (
+        f"encode_trace is only x{ratio:.2f} the reference tree walk "
+        f"(floor x{MIN_LOWERING_SPEEDUP})"
     )
 
 

@@ -2,8 +2,8 @@
 
 The paper drives gem5 with compiled PolyBench C kernels.  Our substrate
 replaces the compiler+ISA layer with a small affine intermediate
-representation (:mod:`repro.workloads.ir`) whose interpreter
-(:mod:`repro.workloads.interp`) emits the same *architectural event
+representation (:mod:`repro.workloads.ir`) whose lowering
+(:mod:`repro.workloads.encode`) emits the same *architectural event
 stream* a compiled kernel would: loads/stores with exact addresses,
 arithmetic operations, loop branches, and (after the transformation
 passes of :mod:`repro.transforms`) vector accesses and software

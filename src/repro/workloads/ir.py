@@ -3,8 +3,8 @@
 A :class:`Program` is a list of top-level :class:`Loop`/:class:`Statement`
 nodes.  Loops carry optional *transformation annotations* (vector width,
 unroll factor, prefetch directives) that the passes in
-:mod:`repro.transforms` set and the interpreter in
-:mod:`repro.workloads.interp` honours — the IR analogue of the paper's
+:mod:`repro.transforms` set and the lowering in
+:mod:`repro.workloads.encode` honours — the IR analogue of the paper's
 compile-time intrinsic flags.
 
 Example (the heart of ``gemm``)::

@@ -82,7 +82,7 @@ class Prefetch(TraceEvent):
 class IRMark(TraceEvent):
     """A zero-cost region marker naming the IR loop being entered.
 
-    Emitted only when :attr:`~repro.workloads.interp.TraceConfig.annotate_ir`
+    Emitted only when :attr:`~repro.workloads.encode.TraceConfig.annotate_ir`
     is on (profiling runs); the CPU model executes it in zero cycles and
     zero instructions, so annotated and plain traces time identically.
     ``label`` is the dotted loop-variable path, e.g. ``"i.k.j"``.
@@ -100,8 +100,8 @@ class IRMark(TraceEvent):
 #: Interned branch events.  A trace contains exactly two distinct branch
 #: values over hundreds of thousands of occurrences; events are immutable
 #: in practice (nothing in the simulator writes to them — pinned by
-#: ``tests/test_encode.py``), so the interpreter and decoder share these
-#: singletons instead of allocating per back-edge.
+#: ``tests/test_encode.py``), so the decoder hands out these singletons
+#: instead of allocating per back-edge.
 BRANCH_TAKEN = Branch(True)
 BRANCH_NOT_TAKEN = Branch(False)
 

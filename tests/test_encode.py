@@ -4,8 +4,9 @@ The contract pinned here is what lets every memo site hold
 :class:`~repro.workloads.encode.EncodedTrace` instead of event lists:
 
 - ``encode -> decode`` reproduces the exact event sequence (types and
-  every field) for every PolyBench kernel at every optimization level,
-  IR annotations included;
+  every field) of the reference tree walk (``tests/trace_oracle.py``)
+  for every PolyBench kernel at every optimization level, IR
+  annotations included;
 - replaying the encoded form produces a ``RunResult`` **equal as a
   whole object** to object replay on every front-end, with and without
   fault injection, and with a probe attached;
@@ -34,6 +35,8 @@ from repro.workloads.trace import (
     Store,
     trace_summary,
 )
+
+from .trace_oracle import oracle_trace
 
 CONFIG_NAMES = ("sram", "dropin", "vwb", "l0", "emshr", "hybrid")
 
@@ -74,7 +77,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("level", list(OptLevel))
     def test_every_kernel_every_level(self, kernel, level):
         program = _program(kernel, level)
-        events = materialize_trace(program)
+        events = list(oracle_trace(program))
         encoded = encode_trace(program)
         _assert_same_events(encoded.decode(), events)
 
@@ -82,7 +85,7 @@ class TestRoundTrip:
     def test_annotated_traces(self, kernel):
         config = TraceConfig(annotate_ir=True)
         program = _program(kernel, OptLevel.FULL)
-        events = materialize_trace(program, config)
+        events = list(oracle_trace(program, config))
         encoded = encode_trace(program, config)
         assert any(isinstance(ev, IRMark) for ev in events)
         _assert_same_events(encoded.decode(), events)
@@ -95,7 +98,7 @@ class TestRoundTrip:
 
     def test_encode_events_matches_encode_trace(self):
         program = _program("bicg", OptLevel.NONE)
-        from_list = encode_events(materialize_trace(program))
+        from_list = encode_events(oracle_trace(program))
         from_program = encode_trace(program)
         _assert_same_events(from_list.decode(), from_program.decode())
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.transforms.pipeline import OptLevel, optimize
+from repro.workloads import build_kernel
 from repro.workloads.affine import Var
 from repro.workloads.ir import Array, Loop, Program, loop, stmt
 from repro.workloads.interp import TraceConfig, generate_trace, materialize_trace
@@ -132,3 +135,14 @@ class TestTraceConfig:
         base = x.base_addr
         list(generate_trace(prog))
         assert x.base_addr == base
+
+    @pytest.mark.parametrize("block_bytes", [0, -64])
+    def test_prefetch_block_bytes_must_be_positive(self, block_bytes):
+        with pytest.raises(ConfigurationError, match="prefetch_block_bytes"):
+            TraceConfig(prefetch_block_bytes=block_bytes)
+
+    def test_prefetch_block_bytes_sets_dedup_granularity(self):
+        program = optimize(build_kernel("gemm"), OptLevel.PREFETCH)
+        fine = trace_summary(materialize_trace(program, TraceConfig(prefetch_block_bytes=8)))
+        coarse = trace_summary(materialize_trace(program, TraceConfig(prefetch_block_bytes=256)))
+        assert fine["prefetches"] > coarse["prefetches"] > 0

@@ -185,9 +185,14 @@ class TestChaos:
         assert engine.stats.timeouts == 1
 
     def test_poison_point_quarantined_to_serial(self, tmp_path, reference):
+        # Point 2 crashes every worker attempt.  Every later point fails
+        # its first attempt at once, so its retry queues behind point 2's
+        # retry: work remains when the second crash lands, and the
+        # supervisor respawns for it as it did for the first.
+        later = {index: 1 for index in range(3, len(_points()))}
         engine = _chaos_engine(
             tmp_path,
-            FaultPlan(crashes={2: 99}),  # crashes every worker attempt
+            FaultPlan(crashes={2: 99}, errors=later),
             policy=RetryPolicy(max_retries=5, quarantine_after=2),
         )
         assert engine.run_points(_points()) == reference
@@ -261,12 +266,17 @@ class TestInterruptAndResume:
 
     def test_sigint_checkpoints_then_resume_executes_only_the_rest(self, tmp_path):
         proc = self._spawn(tmp_path)
-        time.sleep(5.0)  # mid-sweep: some points done, more outstanding
+        journal = tmp_path / ".cache" / "journal.jsonl"
+        # Mid-sweep: interrupt as soon as the first points are journaled,
+        # with most of the 72 still outstanding.
+        deadline = time.monotonic() + 120
+        while not (journal.exists() and journal.read_text().strip()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == EXIT_INTERRUPTED, err.decode()
         assert b"resume" in err
-        journal = tmp_path / ".cache" / "journal.jsonl"
         assert journal.exists() and journal.read_text().strip()
 
         interrupted = json.loads((tmp_path / ".tele" / "manifest.json").read_text())
